@@ -86,6 +86,175 @@ impl DesignTiming {
     }
 }
 
+/// One driven net's step on a worst path: the driver's cell, pins and
+/// critical-arc statistics. A step depends only on its net's timing, so
+/// it is resolved once and shared by every path through the net.
+struct NetStep<'l> {
+    gate: usize,
+    cell: &'l str,
+    out_pin: &'l str,
+    related_pin: Option<&'l str>,
+    /// The net the path continues from (`None` at a launching flip-flop).
+    next: Option<NetId>,
+    /// `(mean, sigma)` of the critical arc, queried on first use.
+    stat: Option<(f64, f64)>,
+}
+
+/// Marks a net whose step has not been resolved yet.
+const UNRESOLVED: u32 = u32::MAX;
+
+/// Worst-path extraction with a per-net memo of resolved steps.
+///
+/// The walk resolves cells and pins capture-to-launch and then queries
+/// statistics launch-to-capture, as a path read on its own would, so the
+/// first error a path meets does not depend on what the memo holds. Only
+/// successful resolutions are memoized.
+struct PathWalker<'a, 'l> {
+    design: &'a MappedDesign,
+    lib: &'l Library,
+    stat: &'a StatLibrary,
+    report: &'a TimingReport,
+    /// Index into `steps` per net, [`UNRESOLVED`] until first visited.
+    step_of: Vec<u32>,
+    steps: Vec<NetStep<'l>>,
+    /// Nets of the current path, capture to launch.
+    trail: Vec<u32>,
+    /// Cell means and sigmas of the current path, launch to capture.
+    means: Vec<f64>,
+    sigmas: Vec<f64>,
+}
+
+impl<'a, 'l> PathWalker<'a, 'l> {
+    fn new(
+        design: &'a MappedDesign,
+        lib: &'l Library,
+        stat: &'a StatLibrary,
+        report: &'a TimingReport,
+    ) -> Self {
+        PathWalker {
+            design,
+            lib,
+            stat,
+            report,
+            step_of: vec![UNRESOLVED; report.nets.len()],
+            steps: Vec::new(),
+            trail: Vec::new(),
+            means: Vec::new(),
+            sigmas: Vec::new(),
+        }
+    }
+
+    /// The step driving `net` (memoized), or `None` at a primary input.
+    fn step(&mut self, net: NetId) -> Result<Option<u32>, StaError> {
+        let ni = net.0 as usize;
+        if self.step_of[ni] != UNRESOLVED {
+            return Ok(Some(self.step_of[ni]));
+        }
+        let t = &self.report.nets[ni];
+        let Some(gi) = t.driver else {
+            return Ok(None);
+        };
+        let cell = self
+            .design
+            .cell_of(gi, self.lib)
+            .ok_or_else(|| StaError::UnknownCell {
+                gate: gi,
+                name: self.design.cell_label(gi, self.lib),
+            })?;
+        let out_pin = cell
+            .output_pins()
+            .nth(t.out_pin)
+            .ok_or(StaError::MissingArc {
+                gate: gi,
+                cell: cell.name.clone(),
+            })?;
+        let related_pin = t
+            .crit_input
+            .and_then(|k| cell.input_pins().nth(k))
+            .map(|p| p.name.as_str());
+        let id = self.steps.len() as u32;
+        self.steps.push(NetStep {
+            gate: gi,
+            cell: &cell.name,
+            out_pin: &out_pin.name,
+            related_pin,
+            next: t
+                .crit_input
+                .map(|k| self.design.netlist.gates[gi].inputs[k]),
+            stat: None,
+        });
+        self.step_of[ni] = id;
+        Ok(Some(id))
+    }
+
+    /// Statistics of the critical arc of the step driving `net`.
+    fn step_stat(&mut self, net: u32, id: u32) -> Result<(f64, f64), StaError> {
+        let step = &mut self.steps[id as usize];
+        if let Some(stat) = step.stat {
+            return Ok(stat);
+        }
+        let t = &self.report.nets[net as usize];
+        let cell = self.design.cells[step.gate];
+        // Query the precise critical arc when known; launching flip-flops
+        // fall back to the pin-level worst (their only arc is clk->q).
+        let stat = match t.crit_input {
+            Some(k) => {
+                self.stat
+                    .delay_stat_arc_id(cell, t.out_pin, k, t.crit_input_slew, t.load)?
+            }
+            None => self
+                .stat
+                .delay_stat_id(cell, t.out_pin, t.crit_input_slew, t.load)?,
+        };
+        step.stat = Some(stat);
+        Ok(stat)
+    }
+
+    fn path(&mut self, endpoint: NetId, rho: f64) -> Result<PathTiming, StaError> {
+        // Walk critical-input pointers back to a launch point.
+        self.trail.clear();
+        let mut net = endpoint;
+        while let Some(id) = self.step(net)? {
+            self.trail.push(net.0);
+            match self.steps[id as usize].next {
+                Some(next) => net = next,
+                None => break, // launching flip-flop
+            }
+        }
+        // Attach statistics launch to capture.
+        let mut cells = Vec::with_capacity(self.trail.len());
+        self.means.clear();
+        self.sigmas.clear();
+        for i in (0..self.trail.len()).rev() {
+            let ni = self.trail[i];
+            let id = self.step_of[ni as usize];
+            let (m, s) = self.step_stat(ni, id)?;
+            self.means.push(m);
+            self.sigmas.push(s);
+            let t = &self.report.nets[ni as usize];
+            let step = &self.steps[id as usize];
+            cells.push(PathCellSample {
+                gate: step.gate,
+                cell: step.cell.to_string(),
+                out_pin: step.out_pin.to_string(),
+                related_pin: step.related_pin.map(str::to_string),
+                slew: t.crit_input_slew,
+                load: t.load,
+                delay: t.cell_delay,
+            });
+        }
+        let mean = convolve::path_mean(self.means.iter().copied());
+        let sigma = convolve::path_sigma(&self.sigmas, rho);
+        Ok(PathTiming {
+            endpoint,
+            cells,
+            arrival: self.report.nets[endpoint.0 as usize].arrival,
+            mean,
+            sigma,
+        })
+    }
+}
+
 /// Extracts the worst path to `endpoint` by walking critical-input pointers
 /// back to a launch point, then attaches statistical parameters from `stat`
 /// with inter-cell correlation `rho` (the paper argues ρ = 0).
@@ -106,78 +275,13 @@ pub fn extract_path(
     endpoint: NetId,
     rho: f64,
 ) -> Result<PathTiming, StaError> {
-    let mut cells_rev: Vec<PathCellSample> = Vec::new();
-    // Id-based query coordinates, parallel to `cells_rev`: the statistical
-    // queries below run on (CellId, pin position) — the PathCellSample
-    // strings are materialized only for the report.
-    let mut arcs_rev: Vec<(varitune_liberty::CellId, usize, Option<usize>)> = Vec::new();
-    let mut net = endpoint;
-    loop {
-        let t = report.nets[net.0 as usize];
-        let Some(gi) = t.driver else {
-            break; // reached a primary input
-        };
-        let cell = design
-            .cell_of(gi, lib)
-            .ok_or_else(|| StaError::UnknownCell {
-                gate: gi,
-                name: design.cell_label(gi, lib),
-            })?;
-        let out_pin = cell
-            .output_pins()
-            .nth(t.out_pin)
-            .ok_or(StaError::MissingArc {
-                gate: gi,
-                cell: cell.name.clone(),
-            })?;
-        let related_pin = t
-            .crit_input
-            .and_then(|k| cell.input_pins().nth(k))
-            .map(|p| p.name.clone());
-        cells_rev.push(PathCellSample {
-            gate: gi,
-            cell: cell.name.clone(),
-            out_pin: out_pin.name.clone(),
-            related_pin,
-            slew: t.crit_input_slew,
-            load: t.load,
-            delay: t.cell_delay,
-        });
-        arcs_rev.push((design.cells[gi], t.out_pin, t.crit_input));
-        match t.crit_input {
-            Some(k) => net = design.netlist.gates[gi].inputs[k],
-            None => break, // launching flip-flop
-        }
-    }
-    cells_rev.reverse();
-    arcs_rev.reverse();
-
-    let mut means = Vec::with_capacity(cells_rev.len());
-    let mut sigmas = Vec::with_capacity(cells_rev.len());
-    for (c, &(id, out_pin, crit_input)) in cells_rev.iter().zip(&arcs_rev) {
-        // Query the precise critical arc when known; launching flip-flops
-        // fall back to the pin-level worst (their only arc is clk->q).
-        let (m, s) = match crit_input {
-            Some(k) => stat.delay_stat_arc_id(id, out_pin, k, c.slew, c.load)?,
-            None => stat.delay_stat_id(id, out_pin, c.slew, c.load)?,
-        };
-        means.push(m);
-        sigmas.push(s);
-    }
-    let mean = convolve::path_mean(means.into_iter());
-    let sigma = convolve::path_sigma(&sigmas, rho);
-
-    Ok(PathTiming {
-        endpoint,
-        cells: cells_rev,
-        arrival: report.nets[endpoint.0 as usize].arrival,
-        mean,
-        sigma,
-    })
+    PathWalker::new(design, lib, stat, report).path(endpoint, rho)
 }
 
 /// Extracts the worst path to **every unique endpoint** of `report` and
-/// returns them together with the design-level aggregate.
+/// returns them together with the design-level aggregate. Each driven
+/// net's step is resolved once and shared by every path through it; the
+/// paths equal per-endpoint [`extract_path`] results bit for bit.
 ///
 /// # Errors
 ///
@@ -189,13 +293,14 @@ pub fn worst_paths(
     report: &TimingReport,
     rho: f64,
 ) -> Result<(Vec<PathTiming>, DesignTiming), StaError> {
+    let mut walker = PathWalker::new(design, lib, stat, report);
     let mut seen = std::collections::BTreeSet::new();
     let mut paths = Vec::new();
     for ep in &report.endpoints {
         if !seen.insert(ep.net) {
             continue; // one worst path per unique endpoint
         }
-        paths.push(extract_path(design, lib, stat, report, ep.net, rho)?);
+        paths.push(walker.path(ep.net, rho)?);
     }
     let design_timing = DesignTiming::from_paths(&paths);
     Ok((paths, design_timing))
@@ -504,6 +609,95 @@ mod tests {
         assert!(matches!(err, StaError::InvalidParameter { .. }));
         let err = deadline_at_yield(&[], 0.9, 1e-3).unwrap_err();
         assert!(matches!(err, StaError::InvalidParameter { .. }));
+    }
+
+    /// The test library plus the full adder `AD2` (outputs `S`, `CO`).
+    fn adder_fixtures() -> (Library, StatLibrary) {
+        let mut cfg = GenerateConfig::small_for_tests();
+        cfg.inventory.extend(
+            varitune_libchar::arch::standard_inventory()
+                .into_iter()
+                .filter(|a| a.prefix == "AD2")
+                .map(|mut a| {
+                    a.drives.retain(|d| [1.0, 2.0].contains(d));
+                    a
+                }),
+        );
+        let nominal = generate_nominal(&cfg);
+        let mc = generate_mc_libraries(&nominal, &cfg, 25, 11);
+        let stat = StatLibrary::from_libraries(&mc).unwrap();
+        (nominal, stat)
+    }
+
+    #[test]
+    fn worst_paths_equal_per_endpoint_extraction_through_multi_output_cells() {
+        // Two full adders in a ripple with reconvergent fanout: `n1`
+        // feeds both the NAND and the first adder, both outputs of each
+        // adder are endpoints, and `fa0`'s S and CO reconverge in `fa1`.
+        // Paths through one adder leave by different output pins, so a
+        // step memoized per gate instead of per driven net would hand S
+        // paths the CO arc (or the reverse).
+        let (lib, stat) = adder_fixtures();
+        let mut nl = Netlist::new("ripple");
+        let a = nl.add_input("a");
+        let b = nl.add_input("b");
+        let cin = nl.add_input("cin");
+        let n1 = nl.add_net("n1");
+        nl.add_gate(GateKind::Inv, vec![a], vec![n1]);
+        let n2 = nl.add_net("n2");
+        nl.add_gate(GateKind::Nand, vec![n1, b], vec![n2]);
+        let (s0, co0) = (nl.add_net("s0"), nl.add_net("co0"));
+        nl.add_gate(GateKind::FullAdder, vec![n1, n2, cin], vec![s0, co0]);
+        let (s1, co1) = (nl.add_net("s1"), nl.add_net("co1"));
+        nl.add_gate(GateKind::FullAdder, vec![s0, n2, co0], vec![s1, co1]);
+        let q = nl.add_net("q");
+        nl.add_gate(GateKind::Dff, vec![co1], vec![q]);
+        let z = nl.add_net("z");
+        nl.add_gate(GateKind::Inv, vec![q], vec![z]);
+        for net in [s0, co0, s1, co1, s1, z] {
+            nl.mark_output(net);
+        }
+        let cells = ["INV_2", "ND2_1", "AD2_1", "AD2_2", "DF_1", "INV_1"];
+        let d = MappedDesign::from_names(nl, &cells, &lib, WireModel::default()).unwrap();
+        let r = analyze(&d, &lib, &StaConfig::with_clock_period(5.0)).unwrap();
+        for rho in [0.0, 0.3] {
+            let (paths, design_t) = worst_paths(&d, &lib, &stat, &r, rho).unwrap();
+            let mut unique = Vec::new();
+            for ep in &r.endpoints {
+                if !unique.contains(&ep.net) {
+                    unique.push(ep.net);
+                }
+            }
+            assert_eq!(paths.len(), unique.len());
+            let mut fresh = Vec::new();
+            for (p, &ep) in paths.iter().zip(&unique) {
+                let want = extract_path(&d, &lib, &stat, &r, ep, rho).unwrap();
+                assert_eq!(p, &want, "endpoint {ep:?}");
+                for (x, y) in [
+                    (p.mean, want.mean),
+                    (p.sigma, want.sigma),
+                    (p.arrival, want.arrival),
+                ] {
+                    assert_eq!(x.to_bits(), y.to_bits(), "endpoint {ep:?}");
+                }
+                fresh.push(want);
+            }
+            let want_t = DesignTiming::from_paths(&fresh);
+            assert_eq!(design_t.mean.to_bits(), want_t.mean.to_bits());
+            assert_eq!(design_t.sigma.to_bits(), want_t.sigma.to_bits());
+            // Both adders are left through both of their output pins.
+            for gate in [2, 3] {
+                let mut pins: Vec<&str> = paths
+                    .iter()
+                    .flat_map(|p| &p.cells)
+                    .filter(|c| c.gate == gate)
+                    .map(|c| c.out_pin.as_str())
+                    .collect();
+                pins.sort_unstable();
+                pins.dedup();
+                assert_eq!(pins, ["CO", "S"], "adder gate {gate}");
+            }
+        }
     }
 
     #[test]

@@ -105,31 +105,7 @@ impl CanonicalForm {
     /// independent residuals add in quadrature.
     pub fn add(&self, other: &CanonicalForm) -> CanonicalForm {
         let mut sens = Vec::with_capacity(self.sens.len() + other.sens.len());
-        let (mut i, mut j) = (0usize, 0usize);
-        while i < self.sens.len() && j < other.sens.len() {
-            let (ka, va) = self.sens[i];
-            let (kb, vb) = other.sens[j];
-            match ka.cmp(&kb) {
-                std::cmp::Ordering::Less => {
-                    sens.push((ka, va));
-                    i += 1;
-                }
-                std::cmp::Ordering::Greater => {
-                    sens.push((kb, vb));
-                    j += 1;
-                }
-                std::cmp::Ordering::Equal => {
-                    let s = va + vb;
-                    if s != 0.0 {
-                        sens.push((ka, s));
-                    }
-                    i += 1;
-                    j += 1;
-                }
-            }
-        }
-        sens.extend_from_slice(&self.sens[i..]);
-        sens.extend_from_slice(&other.sens[j..]);
+        add_terms(&self.sens, &other.sens, &mut sens);
         CanonicalForm {
             mean: self.mean + other.mean,
             sens,
@@ -159,79 +135,8 @@ impl CanonicalForm {
     /// replacement rule so that zero-sigma SSTA reduces bit-exactly to
     /// deterministic STA.
     pub fn max(&self, other: &CanonicalForm) -> (CanonicalForm, f64) {
-        let var_a = self.variance();
-        let var_b = other.variance();
-        let mut cov = 0.0;
-        let (mut i, mut j) = (0usize, 0usize);
-        while i < self.sens.len() && j < other.sens.len() {
-            match self.sens[i].0.cmp(&other.sens[j].0) {
-                std::cmp::Ordering::Less => i += 1,
-                std::cmp::Ordering::Greater => j += 1,
-                std::cmp::Ordering::Equal => {
-                    cov += self.sens[i].1 * other.sens[j].1;
-                    i += 1;
-                    j += 1;
-                }
-            }
-        }
-        let theta2 = var_a + var_b - 2.0 * cov;
-        if theta2 <= 0.0 {
-            // Perfectly correlated (or both deterministic): the max is just
-            // the larger of the two, exactly.
-            return if other.mean > self.mean {
-                (other.clone(), 0.0)
-            } else {
-                (self.clone(), 1.0)
-            };
-        }
-        let theta = theta2.sqrt();
-        let alpha = (self.mean - other.mean) / theta;
-        let t = normal_cdf(alpha);
-        let phi = normal_pdf(alpha);
-        let mean = self.mean * t + other.mean * (1.0 - t) + theta * phi;
-        // Second raw moment of max(A, B) per Clark (1961).
-        let raw2 = (var_a + self.mean * self.mean) * t
-            + (var_b + other.mean * other.mean) * (1.0 - t)
-            + (self.mean + other.mean) * theta * phi;
-        let var = (raw2 - mean * mean).max(0.0);
-        // Union of keys, tightness-weighted: sₖ = T·aₖ + (1−T)·bₖ.
         let mut sens = Vec::with_capacity(self.sens.len() + other.sens.len());
-        let mut sens_sq = 0.0;
-        {
-            let mut push = |k: u32, s: f64| {
-                if s != 0.0 {
-                    sens_sq += s * s;
-                    sens.push((k, s));
-                }
-            };
-            let (mut i, mut j) = (0usize, 0usize);
-            while i < self.sens.len() && j < other.sens.len() {
-                let (ka, va) = self.sens[i];
-                let (kb, vb) = other.sens[j];
-                match ka.cmp(&kb) {
-                    std::cmp::Ordering::Less => {
-                        push(ka, va * t);
-                        i += 1;
-                    }
-                    std::cmp::Ordering::Greater => {
-                        push(kb, vb * (1.0 - t));
-                        j += 1;
-                    }
-                    std::cmp::Ordering::Equal => {
-                        push(ka, va * t + vb * (1.0 - t));
-                        i += 1;
-                        j += 1;
-                    }
-                }
-            }
-            for &(k, v) in &self.sens[i..] {
-                push(k, v * t);
-            }
-            for &(k, v) in &other.sens[j..] {
-                push(k, v * (1.0 - t));
-            }
-        }
-        let resid = (var - sens_sq).max(0.0).sqrt();
+        let (mean, resid, t) = max_into(self.view(), other.view(), &mut sens);
         (CanonicalForm { mean, sens, resid }, t)
     }
 
@@ -243,20 +148,7 @@ impl CanonicalForm {
     /// that covariance visible to downstream maxes. Total variance is
     /// unchanged.
     pub fn key_residual(&mut self, key: u32) {
-        if self.resid == 0.0 {
-            return;
-        }
-        let pos = self.sens.partition_point(|&(k, _)| k < key);
-        if pos < self.sens.len() && self.sens[pos].0 == key {
-            // Key collision cannot happen for the per-arc max-site keys the
-            // model uses, but fold in quadrature rather than corrupt the
-            // sorted-unique invariant if a caller reuses a key.
-            let v = self.sens[pos].1;
-            self.sens[pos].1 = (v * v + self.resid * self.resid).sqrt();
-        } else {
-            self.sens.insert(pos, (key, self.resid));
-        }
-        self.resid = 0.0;
+        self.resid = key_residual_into(&mut self.sens, self.resid, key);
     }
 
     /// Bound the sparse vector to at most `max_local` *local* (non-global)
@@ -267,33 +159,319 @@ impl CanonicalForm {
     /// variance are preserved exactly; only cross-form covariance of the
     /// folded tail is given up.
     pub fn truncated(mut self, max_local: usize) -> CanonicalForm {
-        let n_local = self
-            .sens
-            .iter()
-            .filter(|&&(k, _)| k != GLOBAL_SOURCE)
-            .count();
-        if n_local <= max_local {
-            return self;
-        }
-        let mut locals: Vec<(u32, f64)> = self
-            .sens
-            .iter()
-            .copied()
-            .filter(|&(k, _)| k != GLOBAL_SOURCE)
-            .collect();
-        locals.sort_by(|a, b| b.1.abs().total_cmp(&a.1.abs()).then(a.0.cmp(&b.0)));
-        let mut drop_keys: Vec<u32> = Vec::with_capacity(n_local - max_local);
-        let mut folded = 0.0;
-        for &(k, v) in &locals[max_local..] {
-            drop_keys.push(k);
-            folded += v * v;
-        }
-        drop_keys.sort_unstable();
-        self.sens
-            .retain(|(k, _)| *k == GLOBAL_SOURCE || drop_keys.binary_search(k).is_err());
-        self.resid = (self.resid * self.resid + folded).sqrt();
+        self.resid = truncate_into(&mut self.sens, self.resid, max_local, &mut Vec::new());
         self
     }
+
+    fn view(&self) -> FormRef<'_> {
+        FormRef {
+            mean: self.mean,
+            sens: &self.sens,
+            resid: self.resid,
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
+// Fold kernel. The propagation folds thousands of forms of ~100 terms
+// each; these functions run that fold on caller-owned scratch buffers so
+// that a gate evaluation allocates nothing but the forms it commits. Each
+// reproduces the floating-point operation order of the form algebra
+// above exactly, so results are bit-identical to folding with
+// `add`/`max`/`key_residual`/`truncated` on owned forms.
+// ---------------------------------------------------------------------
+
+/// A borrowed canonical form: the fold reads its operands in place.
+#[derive(Clone, Copy)]
+struct FormRef<'a> {
+    mean: f64,
+    sens: &'a [(u32, f64)],
+    resid: f64,
+}
+
+/// Truncation rank of a sensitivity as an integer that sorts ascending
+/// in descending |sensitivity| order: the bits of a sign-cleared `f64`
+/// order as `total_cmp` orders it, inverted. Equal magnitudes share a
+/// rank; truncation breaks such ties by ascending key.
+fn rank_of(s: f64) -> u64 {
+    !s.abs().to_bits()
+}
+
+/// The |sensitivity| a [`rank_of`] was made from.
+fn rank_abs(rank: u64) -> f64 {
+    f64::from_bits(!rank)
+}
+
+/// The sensitivities of `sens + terms` (both sorted by key) into `out`:
+/// shared keys sum and are dropped at exactly 0, the rest are copied.
+/// Each term of `terms` is placed by binary search and the runs of
+/// `sens` between them are block-copied, so adding an arc's one or two
+/// terms to a long form costs two copies.
+fn add_terms(sens: &[(u32, f64)], terms: &[(u32, f64)], out: &mut Vec<(u32, f64)>) {
+    out.clear();
+    let mut rest = sens;
+    for &(k, v) in terms {
+        let pos = rest.partition_point(|&(rk, _)| rk < k);
+        out.extend_from_slice(&rest[..pos]);
+        rest = &rest[pos..];
+        match rest.first() {
+            Some(&(rk, rv)) if rk == k => {
+                let s = rv + v;
+                if s != 0.0 {
+                    out.push((k, s));
+                }
+                rest = &rest[1..];
+            }
+            _ => out.push((k, v)),
+        }
+    }
+    out.extend_from_slice(rest);
+}
+
+/// Clark max of `a` (the accumulator, winning ties) and `b`: writes the
+/// sensitivities to `out` and returns `(mean, resid, tightness)`. One
+/// merge walk yields both variances and the shared-key covariance, each
+/// summed in key order, term by term, as a [`CanonicalForm::variance`]
+/// pass per operand and a separate covariance walk would sum them.
+fn max_into(a: FormRef<'_>, b: FormRef<'_>, out: &mut Vec<(u32, f64)>) -> (f64, f64, f64) {
+    let (mut sq_a, mut sq_b, mut cov) = (0.0f64, 0.0f64, 0.0f64);
+    let (mut i, mut j) = (0usize, 0usize);
+    while i < a.sens.len() && j < b.sens.len() {
+        let (ka, va) = a.sens[i];
+        let (kb, vb) = b.sens[j];
+        match ka.cmp(&kb) {
+            std::cmp::Ordering::Less => {
+                sq_a += va * va;
+                i += 1;
+            }
+            std::cmp::Ordering::Greater => {
+                sq_b += vb * vb;
+                j += 1;
+            }
+            std::cmp::Ordering::Equal => {
+                sq_a += va * va;
+                sq_b += vb * vb;
+                cov += va * vb;
+                i += 1;
+                j += 1;
+            }
+        }
+    }
+    for &(_, v) in &a.sens[i..] {
+        sq_a += v * v;
+    }
+    for &(_, v) in &b.sens[j..] {
+        sq_b += v * v;
+    }
+    let var_a = sq_a + a.resid * a.resid;
+    let var_b = sq_b + b.resid * b.resid;
+    out.clear();
+    let theta2 = var_a + var_b - 2.0 * cov;
+    if theta2 <= 0.0 {
+        // Perfectly correlated (or both deterministic): the max is just
+        // the larger of the two, exactly.
+        let (winner, t) = if b.mean > a.mean { (b, 0.0) } else { (a, 1.0) };
+        out.extend_from_slice(winner.sens);
+        return (winner.mean, winner.resid, t);
+    }
+    let theta = theta2.sqrt();
+    let alpha = (a.mean - b.mean) / theta;
+    let t = normal_cdf(alpha);
+    let phi = normal_pdf(alpha);
+    let mean = a.mean * t + b.mean * (1.0 - t) + theta * phi;
+    // Second raw moment of max(A, B) per Clark (1961).
+    let raw2 = (var_a + a.mean * a.mean) * t
+        + (var_b + b.mean * b.mean) * (1.0 - t)
+        + (a.mean + b.mean) * theta * phi;
+    let var = (raw2 - mean * mean).max(0.0);
+    // Union of keys, tightness-weighted: sₖ = T·aₖ + (1−T)·bₖ.
+    let sens_sq = match decided_winner(a, sq_a, b, sq_b, t) {
+        // Every winner term is scaled by 1 and every loser term by 0,
+        // so the union is the winner's nonzero terms and Σ s² is the
+        // winner's own sum of squares, bit for bit.
+        Some((winner, sq)) => {
+            out.extend(winner.sens.iter().filter(|&&(_, s)| s != 0.0));
+            sq
+        }
+        None => blend_into(a, b, t, out),
+    };
+    let resid = (var - sens_sq).max(0.0).sqrt();
+    (mean, resid, t)
+}
+
+/// The operand a Clark max with tightness `t` selects outright, with its
+/// sum of squares: `a` at `t == 1`, `b` at `t == 0`. Only for finite
+/// terms (finite sums of squares), since `0 · ∞` is not 0.
+fn decided_winner<'a>(
+    a: FormRef<'a>,
+    sq_a: f64,
+    b: FormRef<'a>,
+    sq_b: f64,
+    t: f64,
+) -> Option<(FormRef<'a>, f64)> {
+    if !(sq_a.is_finite() && sq_b.is_finite()) {
+        None
+    } else if t == 1.0 {
+        Some((a, sq_a))
+    } else if t == 0.0 {
+        Some((b, sq_b))
+    } else {
+        None
+    }
+}
+
+/// The tightness-weighted union `T·aₖ + (1−T)·bₖ` of two sparse
+/// vectors into `out` (zero terms dropped); returns its Σ s².
+fn blend_into(a: FormRef<'_>, b: FormRef<'_>, t: f64, out: &mut Vec<(u32, f64)>) -> f64 {
+    let mut sens_sq = 0.0;
+    let mut push = |k: u32, s: f64| {
+        if s != 0.0 {
+            sens_sq += s * s;
+            out.push((k, s));
+        }
+    };
+    let (mut i, mut j) = (0usize, 0usize);
+    while i < a.sens.len() && j < b.sens.len() {
+        let (ka, va) = a.sens[i];
+        let (kb, vb) = b.sens[j];
+        match ka.cmp(&kb) {
+            std::cmp::Ordering::Less => {
+                push(ka, va * t);
+                i += 1;
+            }
+            std::cmp::Ordering::Greater => {
+                push(kb, vb * (1.0 - t));
+                j += 1;
+            }
+            std::cmp::Ordering::Equal => {
+                push(ka, va * t + vb * (1.0 - t));
+                i += 1;
+                j += 1;
+            }
+        }
+    }
+    for &(k, v) in &a.sens[i..] {
+        push(k, v * t);
+    }
+    for &(k, v) in &b.sens[j..] {
+        push(k, v * (1.0 - t));
+    }
+    sens_sq
+}
+
+/// [`CanonicalForm::key_residual`] on a bare sensitivity vector: returns
+/// the new residual (`resid` itself when it is zero, else 0).
+fn key_residual_into(sens: &mut Vec<(u32, f64)>, resid: f64, key: u32) -> f64 {
+    if resid == 0.0 {
+        return resid;
+    }
+    let pos = sens.partition_point(|&(k, _)| k < key);
+    if pos < sens.len() && sens[pos].0 == key {
+        // Key collision cannot happen for the per-arc max-site keys the
+        // model uses, but fold in quadrature rather than corrupt the
+        // sorted-unique invariant if a caller reuses a key.
+        let v = sens[pos].1;
+        sens[pos].1 = (v * v + resid * resid).sqrt();
+    } else {
+        sens.insert(pos, (key, resid));
+    }
+    0.0
+}
+
+/// [`CanonicalForm::truncated`] on a bare sensitivity vector, with
+/// `ranks` as scratch: returns the new residual.
+///
+/// Selection, not sorting, picks the survivors: after
+/// `select_nth_unstable` the rank at position `max_local` is the best
+/// dropped one (the pivot). Terms ranked before the pivot survive, and
+/// so do as many terms tied with it as there are ties among the
+/// selected, lowest keys first — exactly the terms a full sort by
+/// (|sensitivity|, key) puts first. Only the dropped tail is sorted, so
+/// the folded variance is summed in rank order, term by term, as a full
+/// sort would sum it (tied terms have equal squares, so their order
+/// does not matter).
+fn truncate_into(
+    sens: &mut Vec<(u32, f64)>,
+    resid: f64,
+    max_local: usize,
+    ranks: &mut Vec<u64>,
+) -> f64 {
+    // Keys are sorted and unique, so the global source can only lead.
+    let n_global = usize::from(sens.first().is_some_and(|&(k, _)| k == GLOBAL_SOURCE));
+    if sens.len() - n_global <= max_local {
+        return resid;
+    }
+    ranks.clear();
+    ranks.extend(sens[n_global..].iter().map(|&(_, s)| rank_of(s)));
+    let (head, &mut pivot, tail) = ranks.select_nth_unstable(max_local);
+    let mut tied_kept = head.iter().filter(|&&r| r == pivot).count();
+    tail.sort_unstable();
+    // |s|² equals s² bit for bit.
+    let mut folded = rank_abs(pivot) * rank_abs(pivot);
+    for &rank in tail.iter() {
+        folded += rank_abs(rank) * rank_abs(rank);
+    }
+    sens.retain(|&(k, s)| {
+        let rank = rank_of(s);
+        if k == GLOBAL_SOURCE || rank < pivot {
+            return true;
+        }
+        let keep = rank == pivot && tied_kept > 0;
+        tied_kept -= usize::from(keep);
+        keep
+    });
+    (resid * resid + folded).sqrt()
+}
+
+/// One arc's canonical form held inline: its mean and its at most two
+/// nonzero terms (global key, then the arc's own key), no residual.
+struct ArcTerms {
+    mean: f64,
+    terms: [(u32, f64); 2],
+    len: usize,
+}
+
+impl ArcTerms {
+    /// The form of an arc of delay `mean` with relative sigmas
+    /// `global_rel` (shared source) and `local_rel` (source `key`).
+    fn new(mean: f64, global_rel: f64, local_rel: f64, key: u32) -> Self {
+        let mut arc = ArcTerms {
+            mean,
+            terms: [(GLOBAL_SOURCE, 0.0); 2],
+            len: 0,
+        };
+        for (k, s) in [(GLOBAL_SOURCE, mean * global_rel), (key, mean * local_rel)] {
+            if s != 0.0 {
+                arc.terms[arc.len] = (k, s);
+                arc.len += 1;
+            }
+        }
+        arc
+    }
+
+    fn terms(&self) -> &[(u32, f64)] {
+        &self.terms[..self.len]
+    }
+
+    /// `form + arc` as [`CanonicalForm::add`] computes it: writes the
+    /// sensitivities to `out` and returns `(mean, resid)`.
+    fn add_to(&self, form: &CanonicalForm, out: &mut Vec<(u32, f64)>) -> (f64, f64) {
+        add_terms(&form.sens, self.terms(), out);
+        // The arc has no residual, and r² + 0² is r² exactly.
+        (form.mean + self.mean, (form.resid * form.resid).sqrt())
+    }
+}
+
+/// Reusable sensitivity buffers of the per-gate fold (accumulator,
+/// candidate, max output, truncation selection). Once they have grown to
+/// the largest form, a gate evaluation allocates only its committed
+/// output forms.
+#[derive(Default)]
+struct FoldScratch {
+    acc: Vec<(u32, f64)>,
+    cand: Vec<(u32, f64)>,
+    max: Vec<(u32, f64)>,
+    ranks: Vec<u64>,
 }
 
 /// Interpolate mean and sigma delay for one arc pair at a (slew, load)
@@ -746,22 +924,13 @@ impl<'g, 'l> SstaModel<'g, 'l> {
     /// The canonical form of one arc's delay: global sensitivity on the
     /// shared key, local sigma on the arc's own key (`ai + 1`), no
     /// independent residual — all of an arc's variance is attributable.
-    fn arc_form(&self, ai: usize) -> CanonicalForm {
-        let mean = self.arc_mean[ai];
-        let mut sens = Vec::with_capacity(2);
-        let g = mean * self.global_rel;
-        if g != 0.0 {
-            sens.push((GLOBAL_SOURCE, g));
-        }
-        let l = mean * self.arc_rel[ai];
-        if l != 0.0 {
-            sens.push((ai as u32 + 1, l));
-        }
-        CanonicalForm {
-            mean,
-            sens,
-            resid: 0.0,
-        }
+    fn arc_terms(&self, ai: usize) -> ArcTerms {
+        ArcTerms::new(
+            self.arc_mean[ai],
+            self.global_rel,
+            self.arc_rel[ai],
+            ai as u32 + 1,
+        )
     }
 
     /// Number of tightness-weight slots a gate contributes (its full arc
@@ -778,10 +947,14 @@ impl<'g, 'l> SstaModel<'g, 'l> {
     /// Evaluate one gate: push its output forms and the per-arc tightness
     /// weights (sequential launch arcs have weight 1; each combinational
     /// input gets the telescoped Clark tightness of the fold).
+    ///
+    /// Each output folds `max_k(input_k + arc_k)` in `scratch`; only the
+    /// truncated result is copied out, at exact capacity.
     fn eval_gate(
         &self,
         gi: usize,
         forms: &[CanonicalForm],
+        scratch: &mut FoldScratch,
         out_forms: &mut Vec<CanonicalForm>,
         out_w: &mut Vec<f64>,
     ) -> Result<(), StaError> {
@@ -789,7 +962,12 @@ impl<'g, 'l> SstaModel<'g, 'l> {
         let arc_base = self.core.arc_off[gi] as usize;
         if self.core.is_seq[gi] {
             for j in 0..outs.len() {
-                out_forms.push(self.arc_form(arc_base + j));
+                let arc = self.arc_terms(arc_base + j);
+                out_forms.push(CanonicalForm {
+                    mean: arc.mean,
+                    sens: arc.terms().to_vec(),
+                    resid: 0.0,
+                });
                 out_w.push(1.0);
             }
             return Ok(());
@@ -800,9 +978,23 @@ impl<'g, 'l> SstaModel<'g, 'l> {
         // the Clark residual born at the fold step of arc `ai` gets key
         // `n_arcs + 1 + ai`, unique and stable across thread counts.
         let resid_key_base = self.core.arcs.len() as u32 + 1;
+        let FoldScratch {
+            acc,
+            cand,
+            max,
+            ranks,
+        } = scratch;
         for j in 0..outs.len() {
+            if n_in == 0 {
+                return Err(StaError::MissingArc {
+                    gate: gi,
+                    cell: self.core.lib.cells[self.core.cell_idx[gi] as usize]
+                        .name
+                        .clone(),
+                });
+            }
             let row = arc_base + j * n_in;
-            let mut acc: Option<CanonicalForm> = None;
+            let (mut acc_mean, mut acc_resid) = (0.0, 0.0);
             let w0 = out_w.len();
             for (k, &inp) in inputs.iter().enumerate() {
                 let in_form = &forms[inp as usize];
@@ -815,46 +1007,56 @@ impl<'g, 'l> SstaModel<'g, 'l> {
                         ),
                     });
                 }
-                let cand = in_form.add(&self.arc_form(row + k));
-                match acc {
-                    None => {
-                        acc = Some(cand);
-                        out_w.push(1.0);
-                    }
-                    Some(prev) => {
-                        let (mut m, t) = prev.max(&cand);
-                        m.key_residual(resid_key_base + (row + k) as u32);
-                        for w in &mut out_w[w0..] {
-                            *w *= t;
-                        }
-                        out_w.push(1.0 - t);
-                        acc = Some(m);
-                    }
+                let (cand_mean, cand_resid) = self.arc_terms(row + k).add_to(in_form, cand);
+                if k == 0 {
+                    std::mem::swap(acc, cand);
+                    (acc_mean, acc_resid) = (cand_mean, cand_resid);
+                    out_w.push(1.0);
+                    continue;
                 }
+                let (mean, resid, t) = max_into(
+                    FormRef {
+                        mean: acc_mean,
+                        sens: acc,
+                        resid: acc_resid,
+                    },
+                    FormRef {
+                        mean: cand_mean,
+                        sens: cand,
+                        resid: cand_resid,
+                    },
+                    max,
+                );
+                acc_resid = key_residual_into(max, resid, resid_key_base + (row + k) as u32);
+                acc_mean = mean;
+                std::mem::swap(acc, max);
+                for w in &mut out_w[w0..] {
+                    *w *= t;
+                }
+                out_w.push(1.0 - t);
             }
-            let form = acc.ok_or_else(|| StaError::MissingArc {
-                gate: gi,
-                cell: self.core.lib.cells[self.core.cell_idx[gi] as usize]
-                    .name
-                    .clone(),
-            })?;
-            out_forms.push(form.truncated(self.opts.max_local_terms));
+            acc_resid = truncate_into(acc, acc_resid, self.opts.max_local_terms, ranks);
+            out_forms.push(CanonicalForm {
+                mean: acc_mean,
+                sens: acc.to_vec(),
+                resid: acc_resid,
+            });
         }
         Ok(())
     }
 
-    /// Write one gate's computed output forms and tightness weights back
-    /// into the global arrays.
+    /// Move one gate's computed output forms and copy its tightness
+    /// weights into the global arrays.
     fn commit_gate(
         &self,
         gi: usize,
-        gate_forms: &[CanonicalForm],
+        gate_forms: impl Iterator<Item = CanonicalForm>,
         gate_w: &[f64],
         forms: &mut [CanonicalForm],
         weights: &mut [f64],
     ) {
-        for (j, &out) in self.core.gate_outputs(gi).iter().enumerate() {
-            forms[out as usize] = gate_forms[j].clone();
+        for (&out, form) in self.core.gate_outputs(gi).iter().zip(gate_forms) {
+            forms[out as usize] = form;
         }
         let arc_base = self.core.arc_off[gi] as usize;
         weights[arc_base..arc_base + gate_w.len()].copy_from_slice(gate_w);
@@ -866,6 +1068,7 @@ impl<'g, 'l> SstaModel<'g, 'l> {
     fn propagate_stage(
         &self,
         list: &[u32],
+        scratch: &mut FoldScratch,
         forms: &mut [CanonicalForm],
         weights: &mut [f64],
     ) -> Result<(), StaError> {
@@ -879,18 +1082,18 @@ impl<'g, 'l> SstaModel<'g, 'l> {
             let mut out_w = Vec::new();
             for &g in list {
                 let gi = g as usize;
-                out_forms.clear();
                 out_w.clear();
-                self.eval_gate(gi, forms, &mut out_forms, &mut out_w)?;
-                self.commit_gate(gi, &out_forms, &out_w, forms, weights);
+                self.eval_gate(gi, forms, scratch, &mut out_forms, &mut out_w)?;
+                self.commit_gate(gi, out_forms.drain(..), &out_w, forms, weights);
             }
             return Ok(());
         }
         let shards: Vec<ShardOutput> = run_shards(list.len(), SHARD_GATES, workers, |_, range| {
+            let mut scratch = FoldScratch::default();
             let mut out_forms = Vec::new();
             let mut out_w = Vec::new();
             for &g in &list[range] {
-                self.eval_gate(g as usize, forms, &mut out_forms, &mut out_w)?;
+                self.eval_gate(g as usize, forms, &mut scratch, &mut out_forms, &mut out_w)?;
             }
             Ok((out_forms, out_w))
         });
@@ -898,9 +1101,9 @@ impl<'g, 'l> SstaModel<'g, 'l> {
         // Shard boundaries are a pure function of (len, SHARD_GATES).
         for (s, shard) in shards.into_iter().enumerate() {
             let (shard_forms, shard_w) = shard?;
+            let mut shard_forms = shard_forms.into_iter();
             let lo = s * SHARD_GATES;
             let hi = ((s + 1) * SHARD_GATES).min(list.len());
-            let mut fi = 0usize;
             let mut wi = 0usize;
             for &g in &list[lo..hi] {
                 let gi = g as usize;
@@ -908,12 +1111,11 @@ impl<'g, 'l> SstaModel<'g, 'l> {
                 let n_w = self.gate_weight_len(gi);
                 self.commit_gate(
                     gi,
-                    &shard_forms[fi..fi + n_out],
+                    shard_forms.by_ref().take(n_out),
                     &shard_w[wi..wi + n_w],
                     forms,
                     weights,
                 );
-                fi += n_out;
                 wi += n_w;
             }
         }
@@ -942,40 +1144,61 @@ impl<'g, 'l> SstaModel<'g, 'l> {
             })
             .collect();
         let mut weights = vec![0.0f64; core.arcs.len()];
+        let mut scratch = FoldScratch::default();
         let n_stages = self.stage_off.len() - 1;
         for s in 0..n_stages {
             let list = &self.schedule[self.stage_off[s] as usize..self.stage_off[s + 1] as usize];
             if list.is_empty() {
                 continue;
             }
-            self.propagate_stage(list, &mut forms, &mut weights)?;
+            self.propagate_stage(list, &mut scratch, &mut forms, &mut weights)?;
         }
 
         // Endpoint fold: W = max over endpoints of (arrival − required +
         // period), the minimum feasible clock period. The tightness
         // weights of the fold are each endpoint's criticality.
+        // Folded in the scratch buffers like a gate, reading each
+        // endpoint's form in place with its mean shifted.
         let t_clk = core.config.effective_period();
         let n_ep = core.endpoints.len();
-        let mut design: Option<CanonicalForm> = None;
+        let FoldScratch {
+            acc, max, ranks, ..
+        } = &mut scratch;
+        let (mut design_mean, mut design_resid) = (f64::NEG_INFINITY, 0.0);
+        acc.clear();
         let mut ep_w = vec![0.0f64; n_ep];
         for (e, ep) in core.endpoints.iter().enumerate() {
-            let shifted = forms[ep.net.0 as usize].shift(t_clk - ep.required);
-            match design {
-                None => {
-                    design = Some(shifted);
-                    ep_w[e] = 1.0;
-                }
-                Some(prev) => {
-                    let (m, t) = prev.max(&shifted);
-                    for w in &mut ep_w[..e] {
-                        *w *= t;
-                    }
-                    ep_w[e] = 1.0 - t;
-                    design = Some(m.truncated(self.opts.max_local_terms));
-                }
+            let form = &forms[ep.net.0 as usize];
+            let shifted = FormRef {
+                mean: form.mean + (t_clk - ep.required),
+                sens: &form.sens,
+                resid: form.resid,
+            };
+            if e == 0 {
+                acc.extend_from_slice(shifted.sens);
+                (design_mean, design_resid) = (shifted.mean, shifted.resid);
+                ep_w[e] = 1.0;
+                continue;
             }
+            let design = FormRef {
+                mean: design_mean,
+                sens: acc,
+                resid: design_resid,
+            };
+            let (mean, resid, t) = max_into(design, shifted, max);
+            for w in &mut ep_w[..e] {
+                *w *= t;
+            }
+            ep_w[e] = 1.0 - t;
+            design_resid = truncate_into(max, resid, self.opts.max_local_terms, ranks);
+            design_mean = mean;
+            std::mem::swap(acc, max);
         }
-        let design = design.unwrap_or_else(|| CanonicalForm::deterministic(f64::NEG_INFINITY));
+        let design = CanonicalForm {
+            mean: design_mean,
+            sens: acc.to_vec(),
+            resid: design_resid,
+        };
 
         let endpoints: Vec<SstaEndpoint> = core
             .endpoints
@@ -1213,6 +1436,7 @@ mod tests {
     use crate::mapped::{MappedDesign, WireModel};
     use varitune_libchar::{generate_mc_libraries, generate_nominal, GenerateConfig};
     use varitune_netlist::{GateKind, Netlist};
+    use varitune_variation::sampler::Xoshiro256PlusPlus;
 
     fn stat_fixture() -> StatLibrary {
         let cfg = GenerateConfig::small_for_tests();
@@ -1259,6 +1483,291 @@ mod tests {
             mean,
             sens: sens.to_vec(),
             resid,
+        }
+    }
+
+    // -----------------------------------------------------------------
+    // Differential tests of the fold kernel against the owned-form
+    // algebra it replaced, kept here as references.
+    // -----------------------------------------------------------------
+
+    /// The sort-based truncation: full sort by rank, then a
+    /// binary-search `retain` of the dropped keys.
+    fn truncated_reference(mut f: CanonicalForm, max_local: usize) -> CanonicalForm {
+        let n_local = f.sens.iter().filter(|&&(k, _)| k != GLOBAL_SOURCE).count();
+        if n_local <= max_local {
+            return f;
+        }
+        let mut locals: Vec<(u32, f64)> = f
+            .sens
+            .iter()
+            .copied()
+            .filter(|&(k, _)| k != GLOBAL_SOURCE)
+            .collect();
+        locals.sort_by(|a, b| b.1.abs().total_cmp(&a.1.abs()).then(a.0.cmp(&b.0)));
+        let mut drop_keys: Vec<u32> = Vec::with_capacity(n_local - max_local);
+        let mut folded = 0.0;
+        for &(k, v) in &locals[max_local..] {
+            drop_keys.push(k);
+            folded += v * v;
+        }
+        drop_keys.sort_unstable();
+        f.sens
+            .retain(|(k, _)| *k == GLOBAL_SOURCE || drop_keys.binary_search(k).is_err());
+        f.resid = (f.resid * f.resid + folded).sqrt();
+        f
+    }
+
+    /// The two-pointer merge `CanonicalForm::add` used before it shared
+    /// the kernel's block-copy merge.
+    fn add_reference(a: &CanonicalForm, b: &CanonicalForm) -> CanonicalForm {
+        let mut sens = Vec::new();
+        let (mut i, mut j) = (0usize, 0usize);
+        while i < a.sens.len() && j < b.sens.len() {
+            let (ka, va) = a.sens[i];
+            let (kb, vb) = b.sens[j];
+            match ka.cmp(&kb) {
+                std::cmp::Ordering::Less => {
+                    sens.push((ka, va));
+                    i += 1;
+                }
+                std::cmp::Ordering::Greater => {
+                    sens.push((kb, vb));
+                    j += 1;
+                }
+                std::cmp::Ordering::Equal => {
+                    let s = va + vb;
+                    if s != 0.0 {
+                        sens.push((ka, s));
+                    }
+                    i += 1;
+                    j += 1;
+                }
+            }
+        }
+        sens.extend_from_slice(&a.sens[i..]);
+        sens.extend_from_slice(&b.sens[j..]);
+        CanonicalForm {
+            mean: a.mean + b.mean,
+            sens,
+            resid: (a.resid * a.resid + b.resid * b.resid).sqrt(),
+        }
+    }
+
+    /// An arc's form built as its own `Vec`, to be added with
+    /// [`add_reference`].
+    fn arc_form_reference(mean: f64, global_rel: f64, local_rel: f64, key: u32) -> CanonicalForm {
+        let mut sens = Vec::with_capacity(2);
+        let g = mean * global_rel;
+        if g != 0.0 {
+            sens.push((GLOBAL_SOURCE, g));
+        }
+        let l = mean * local_rel;
+        if l != 0.0 {
+            sens.push((key, l));
+        }
+        CanonicalForm {
+            mean,
+            sens,
+            resid: 0.0,
+        }
+    }
+
+    /// Clark max with separate variance passes and covariance walk.
+    fn max_reference(a: &CanonicalForm, b: &CanonicalForm) -> (CanonicalForm, f64) {
+        let var_a = a.variance();
+        let var_b = b.variance();
+        let mut cov = 0.0;
+        for &(k, va) in &a.sens {
+            if let Ok(j) = b.sens.binary_search_by_key(&k, |&(kb, _)| kb) {
+                cov += va * b.sens[j].1;
+            }
+        }
+        let theta2 = var_a + var_b - 2.0 * cov;
+        if theta2 <= 0.0 {
+            return if b.mean > a.mean {
+                (b.clone(), 0.0)
+            } else {
+                (a.clone(), 1.0)
+            };
+        }
+        let theta = theta2.sqrt();
+        let alpha = (a.mean - b.mean) / theta;
+        let t = normal_cdf(alpha);
+        let phi = normal_pdf(alpha);
+        let mean = a.mean * t + b.mean * (1.0 - t) + theta * phi;
+        let raw2 = (var_a + a.mean * a.mean) * t
+            + (var_b + b.mean * b.mean) * (1.0 - t)
+            + (a.mean + b.mean) * theta * phi;
+        let var = (raw2 - mean * mean).max(0.0);
+        let mut keys: Vec<u32> = a.sens.iter().chain(&b.sens).map(|&(k, _)| k).collect();
+        keys.sort_unstable();
+        keys.dedup();
+        let coef = |f: &CanonicalForm, k: u32| {
+            f.sens
+                .binary_search_by_key(&k, |&(fk, _)| fk)
+                .ok()
+                .map(|i| f.sens[i].1)
+        };
+        let mut sens = Vec::new();
+        let mut sens_sq = 0.0;
+        for k in keys {
+            let s = match (coef(a, k), coef(b, k)) {
+                (Some(va), Some(vb)) => va * t + vb * (1.0 - t),
+                (Some(va), None) => va * t,
+                (None, Some(vb)) => vb * (1.0 - t),
+                (None, None) => unreachable!(),
+            };
+            if s != 0.0 {
+                sens_sq += s * s;
+                sens.push((k, s));
+            }
+        }
+        let resid = (var - sens_sq).max(0.0).sqrt();
+        (CanonicalForm { mean, sens, resid }, t)
+    }
+
+    fn assert_bits_eq(got: &CanonicalForm, want: &CanonicalForm, ctx: &str) {
+        let bits = |f: &CanonicalForm| {
+            f.sens
+                .iter()
+                .map(|&(k, s)| (k, s.to_bits()))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(got.mean.to_bits(), want.mean.to_bits(), "{ctx}: mean");
+        assert_eq!(got.resid.to_bits(), want.resid.to_bits(), "{ctx}: resid");
+        assert_eq!(bits(got), bits(want), "{ctx}: sensitivities");
+    }
+
+    /// A seeded form with `n_local` local terms (keys spread over
+    /// `1..=3·n_local`) and, if `global`, a shared term. Magnitudes come
+    /// from a small palette, so equal |sensitivity| ties are common.
+    fn random_form(rng: &mut Xoshiro256PlusPlus, n_local: usize, global: bool) -> CanonicalForm {
+        const PALETTE: [f64; 4] = [0.5, 0.25, 0.125, 0.375];
+        let value = |rng: &mut Xoshiro256PlusPlus| {
+            let r = rng.next_u64();
+            let jitter = if r & 4 == 0 {
+                1.0
+            } else {
+                1.0 + rng.next_f64()
+            };
+            let mag = PALETTE[(r % 4) as usize] * jitter;
+            if r & 8 == 0 {
+                mag
+            } else {
+                -mag
+            }
+        };
+        let mut sens = Vec::with_capacity(n_local + 1);
+        if global {
+            sens.push((GLOBAL_SOURCE, value(rng)));
+        }
+        let mut key = 0u32;
+        while sens.len() < n_local + usize::from(global) {
+            key += 1 + (rng.next_u64() % 3) as u32;
+            sens.push((key, value(rng)));
+        }
+        let resid = if rng.next_u64().is_multiple_of(3) {
+            0.0
+        } else {
+            rng.next_f64()
+        };
+        CanonicalForm {
+            mean: 10.0 * rng.next_f64() - 2.0,
+            sens,
+            resid,
+        }
+    }
+
+    #[test]
+    fn selection_truncation_matches_sort_reference_bit_for_bit() {
+        let mut ranks = Vec::new();
+        for case in 0..400u64 {
+            let mut rng = rng_from(0x7a11, "truncate", case);
+            let n = (rng.next_u64() % 48) as usize;
+            let f = random_form(&mut rng, n, case % 2 == 0);
+            let mut caps = vec![0, 1, n.saturating_sub(1), n, n + 1, 128];
+            caps.dedup();
+            for max_local in caps {
+                let want = truncated_reference(f.clone(), max_local);
+                let ctx = format!("case {case}, {n} locals, max_local {max_local}");
+                assert_bits_eq(&f.clone().truncated(max_local), &want, &ctx);
+                // The kernel on a scratch buffer reused across calls.
+                let mut sens = f.sens.clone();
+                let resid = truncate_into(&mut sens, f.resid, max_local, &mut ranks);
+                let got = CanonicalForm {
+                    mean: f.mean,
+                    sens,
+                    resid,
+                };
+                assert_bits_eq(&got, &want, &ctx);
+            }
+        }
+    }
+
+    #[test]
+    fn in_place_arc_add_matches_form_add_bit_for_bit() {
+        let mut out = Vec::new();
+        for case in 0..400u64 {
+            let mut rng = rng_from(0x7a11, "arc-add", case);
+            let n = (rng.next_u64() % 40) as usize;
+            let f = random_form(&mut rng, n, case % 2 == 0);
+            let mean = rng.next_f64();
+            // Zero relative sigmas drop the arc's terms; the arc key may
+            // land on an existing key, before every key or after them all.
+            let global_rel = [0.0, 0.05, rng.next_f64()][(case % 3) as usize];
+            let local_rel = [0.0, 0.1, rng.next_f64()][(case / 3 % 3) as usize];
+            let key = match case % 4 {
+                0 => f.sens.last().map_or(1, |&(k, _)| k.max(1)),
+                1 => 1,
+                2 => 1 + (rng.next_u64() % (3 * n as u64 + 3)) as u32,
+                _ => u32::MAX,
+            };
+            let want = add_reference(&f, &arc_form_reference(mean, global_rel, local_rel, key));
+            let (got_mean, got_resid) =
+                ArcTerms::new(mean, global_rel, local_rel, key).add_to(&f, &mut out);
+            let got = CanonicalForm {
+                mean: got_mean,
+                sens: out.clone(),
+                resid: got_resid,
+            };
+            assert_bits_eq(&got, &want, &format!("case {case}, key {key}"));
+            // The general add shares the merge.
+            let g = random_form(&mut rng, n / 2, case % 3 == 0);
+            let ctx = format!("case {case}, form add");
+            assert_bits_eq(&f.add(&g), &add_reference(&f, &g), &ctx);
+            assert_bits_eq(&g.add(&f), &add_reference(&g, &f), &ctx);
+        }
+    }
+
+    #[test]
+    fn fused_max_matches_separate_pass_reference_bit_for_bit() {
+        for case in 0..400u64 {
+            let mut rng = rng_from(0x7a11, "max", case);
+            let na = (rng.next_u64() % 40) as usize;
+            let nb = (rng.next_u64() % 40) as usize;
+            let a = random_form(&mut rng, na, case % 2 == 0);
+            let b = match case % 7 {
+                // Perfectly correlated and deterministic operands take the
+                // degenerate branch.
+                0 => a.clone(),
+                1 => a.shift(0.5),
+                2 => CanonicalForm::deterministic(a.mean),
+                // Far apart: the tightness is exactly 1 or 0.
+                3 => random_form(&mut rng, nb, case % 3 == 0).shift(-100.0),
+                4 => random_form(&mut rng, nb, case % 3 == 0).shift(100.0),
+                _ => random_form(&mut rng, nb, case % 3 == 0),
+            };
+            for (x, y) in [(&a, &b), (&b, &a)] {
+                let (want, want_t) = max_reference(x, y);
+                if case % 7 >= 3 && case % 7 <= 4 {
+                    assert!(want_t == 0.0 || want_t == 1.0, "case {case}: {want_t}");
+                }
+                let (got, got_t) = x.max(y);
+                let ctx = format!("case {case}");
+                assert_eq!(got_t.to_bits(), want_t.to_bits(), "{ctx}: tightness");
+                assert_bits_eq(&got, &want, &ctx);
+            }
         }
     }
 
